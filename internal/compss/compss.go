@@ -146,8 +146,20 @@ type Runtime struct {
 	// attached.
 	execSession uint64
 
+	// unwatch cancels the elastic fleet subscription once the runtime is
+	// collected; nil without an elastic backend.
+	unwatch *watchStop
+
 	mu sync.Mutex
 }
+
+// watchStop carries a fleet subscription's cancel func and runs it from a
+// finalizer. The finalizer sits on this separate allocation rather than on
+// the Runtime because the runtime is in a reference cycle (its executor
+// points back at it), and a finalizer on an object in a cycle never runs.
+// Only the runtime refers to a watchStop, so it becomes unreachable exactly
+// when the runtime does.
+type watchStop struct{ cancel func() }
 
 // New creates a runtime.
 //
@@ -157,9 +169,10 @@ type Runtime struct {
 // change — a worker joining mid-run raises effective parallelism, a
 // draining one lowers it. The executor's carrier structures are sized once
 // to the fleet's slot ceiling, so an autoscaled fleet can grow into
-// capacity the pool merely re-targets. The Watch subscription lives as
-// long as the backend (runtimes have no teardown); it holds only the slot
-// pool, and resizing a quiesced runtime's pool is harmless.
+// capacity the pool merely re-targets. The Watch callback holds only the
+// slot pool, never the runtime, so a dropped runtime (runtimes have no
+// teardown) is collectable while its backend lives on; a finalizer then
+// cancels the subscription (see watchStop).
 func New(cfg Config) *Runtime {
 	w := cfg.Workers
 	if w <= 0 {
@@ -188,14 +201,12 @@ func New(cfg Config) *Runtime {
 	}
 	rt.ex = newExecutor(rt, ceiling)
 	if elastic {
-		base := w
-		fleet.Watch(func(slotTotal int) {
-			n := slotTotal
-			if base > n {
-				n = base
-			}
-			rt.sem.setCap(n)
+		base, sem := w, rt.sem
+		cancel := fleet.Watch(func(slotTotal int) {
+			sem.setCap(max(base, slotTotal))
 		})
+		rt.unwatch = &watchStop{cancel: cancel}
+		runtime.SetFinalizer(rt.unwatch, func(w *watchStop) { w.cancel() })
 	}
 	if cfg.Backend != nil {
 		rt.execSession = exec.NextSession()
@@ -661,22 +672,16 @@ func (tc *TaskCtx) submit(o *Opts, nOut int, fn1 TaskFunc, fnN MultiTaskFunc, ar
 	tc.rt.emit(EventSubmit, st, -1, nil, "", false)
 
 	// Wire argument dependencies: register this task as a child of every
-	// still-running producer, counting each registration in pending. A
-	// producer that already completed contributes neither a child entry nor
-	// a pending increment, so the accounting stays balanced; duplicate
-	// future arguments are symmetric too (registered and counted once per
-	// occurrence, decremented once per child entry).
+	// still-running producer, counting each registration in pending.
+	// Duplicate future arguments are symmetric (registered and counted once
+	// per occurrence, decremented once per child entry).
 	for _, a := range args {
 		switch v := a.(type) {
 		case *Future:
-			if tryAddChild(v.st, st) {
-				st.pending.Add(1)
-			}
+			wireDep(v.st, st)
 		case []*Future:
 			for _, f := range v {
-				if tryAddChild(f.st, st) {
-					st.pending.Add(1)
-				}
+				wireDep(f.st, st)
 			}
 		}
 	}
@@ -689,17 +694,22 @@ func (tc *TaskCtx) submit(o *Opts, nOut int, fn1 TaskFunc, fnN MultiTaskFunc, ar
 	return futs
 }
 
-// tryAddChild registers c as a completion child of p, reporting false when p
-// already completed (its children were drained; the caller must not count a
-// pending dependency on it).
-func tryAddChild(p, c *taskState) bool {
+// wireDep counts producer p as an unmet dependency of c and registers c as
+// its completion child. The count is raised before the registration: once
+// registered, p may complete and decrement at any moment, and a decrement
+// landing first would spend c's submission sentinel and make c ready with
+// its other producers unwired (a body run on nil arguments, then a second
+// run). When p already completed (its children were drained) the count is
+// withdrawn instead; the caller holds the sentinel, so that never reaches 0.
+func wireDep(p, c *taskState) {
+	c.pending.Add(1)
 	p.chMu.Lock()
 	defer p.chMu.Unlock()
 	if p.completed.Load() {
-		return false
+		c.pending.Add(-1)
+		return
 	}
 	p.children = append(p.children, c)
-	return true
 }
 
 // becomeReady fires when a task's last argument producer completed (or

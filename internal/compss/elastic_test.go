@@ -2,6 +2,7 @@ package compss
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -16,7 +17,8 @@ type fakeFleet struct {
 	mu       sync.Mutex
 	slots    int
 	ceiling  int
-	watchers []func(int)
+	watchSeq int
+	watchers map[int]func(int)
 }
 
 func (f *fakeFleet) ExecuteTask(*exec.Request) ([]any, string, error) {
@@ -38,14 +40,32 @@ func (f *fakeFleet) SlotCeiling() int { return f.ceiling }
 func (f *fakeFleet) Watch(fn func(int)) func() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.watchers = append(f.watchers, fn)
-	return func() {}
+	if f.watchers == nil {
+		f.watchers = make(map[int]func(int))
+	}
+	id := f.watchSeq
+	f.watchSeq++
+	f.watchers[id] = fn
+	return func() {
+		f.mu.Lock()
+		delete(f.watchers, id)
+		f.mu.Unlock()
+	}
+}
+
+func (f *fakeFleet) watcherCount() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.watchers)
 }
 
 func (f *fakeFleet) setSlots(n int) {
 	f.mu.Lock()
 	f.slots = n
-	fns := append([]func(int){}, f.watchers...)
+	fns := make([]func(int), 0, len(f.watchers))
+	for _, fn := range f.watchers {
+		fns = append(fns, fn)
+	}
 	f.mu.Unlock()
 	for _, fn := range fns {
 		fn(n)
@@ -111,5 +131,40 @@ func TestElasticCapacity(t *testing.T) {
 		if _, err := rt.Get(f); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestDroppedRuntimeCancelsWatch: a runtime's fleet subscription must not
+// keep the runtime alive. Runtimes built and dropped over one long-lived
+// backend become collectable, and their Watch subscriptions are cancelled,
+// returning the backend's watcher count to its baseline; a runtime still in
+// use keeps its subscription.
+func TestDroppedRuntimeCancelsWatch(t *testing.T) {
+	fleet := &fakeFleet{slots: 2, ceiling: 4}
+	live := New(Config{Workers: 1, Backend: fleet})
+	base := fleet.watcherCount()
+
+	const dropped = 16
+	for i := 0; i < dropped; i++ {
+		rt := New(Config{Workers: 1, Backend: fleet})
+		f := rt.Submit(Opts{Name: "drop"}, func(_ *TaskCtx, _ []any) (any, error) { return i, nil })
+		if v, err := rt.Get(f); err != nil || v.(int) != i {
+			t.Fatalf("runtime %d: Get = %v, %v", i, v, err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for fleet.watcherCount() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("watchers = %d after dropping %d runtimes, want the baseline %d: the subscription keeps dropped runtimes reachable",
+				fleet.watcherCount(), dropped, base)
+		}
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// The surviving runtime's subscription is intact and still live.
+	fleet.setSlots(3)
+	if got := live.sem.capacity(); got != 3 {
+		t.Fatalf("live runtime capacity = %d after the fleet grew to 3, want 3", got)
 	}
 }

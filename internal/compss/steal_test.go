@@ -1,6 +1,7 @@
 package compss
 
 import (
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -101,6 +102,78 @@ func TestStealStress(t *testing.T) {
 	// chainFan leaves per positive-depth link, and the external burst.
 	total := 1 + hotChildren + (chainDepth + 1) + chainDepth*chainFan + burst
 	obs.check(t, total)
+}
+
+// TestSubmitWiringRace: a task whose argument producers complete while it
+// is being submitted must wait for every one of them and run exactly once.
+// Each consumer takes fanIn futures (two bare, the rest as a []*Future) of
+// producers submitted just before it, so producer completion keeps landing
+// inside the consumer's dependency wiring; half the rounds submit from the
+// main program (round-robin placement), half from a body (own-deque push).
+// A producer that decrements its consumer ahead of the consumer's own
+// increment would make it ready early — a body run with nil arguments —
+// and then ready again, a second run.
+func TestSubmitWiringRace(t *testing.T) {
+	const (
+		rounds = 600
+		fanIn  = 4
+	)
+	rt := New(Config{Workers: 8})
+	runs := make([]atomic.Int32, rounds)
+	var nilArgs atomic.Int32
+
+	produce := func(_ *TaskCtx, _ []any) (any, error) { return 1, nil }
+	consume := func(_ *TaskCtx, args []any) (any, error) {
+		runs[args[0].(int)].Add(1)
+		vals := append([]any{args[1], args[2]}, args[3].([]any)...)
+		sum := 0
+		for _, v := range vals {
+			if v == nil {
+				nilArgs.Add(1)
+				return nil, errors.New("consumer ran with a nil argument")
+			}
+			sum += v.(int)
+		}
+		return sum, nil
+	}
+	submitRound := func(tc *TaskCtx, i int) *Future {
+		ps := make([]*Future, fanIn)
+		for j := range ps {
+			ps[j] = tc.Submit(Opts{Name: "wire_producer"}, produce)
+		}
+		return tc.Submit(Opts{Name: "wire_consumer"}, consume, i, ps[0], ps[1], ps[2:])
+	}
+
+	var consumers []*Future
+	for i := 0; i < rounds/2; i++ {
+		consumers = append(consumers, submitRound(rt.Main(), i))
+	}
+	nested := rt.Submit(Opts{Name: "wire_submitter"}, func(tc *TaskCtx, _ []any) (any, error) {
+		for i := rounds / 2; i < rounds; i++ {
+			submitRound(tc, i)
+		}
+		return nil, nil
+	})
+	if err := rt.Barrier(); err != nil {
+		t.Fatalf("Barrier: %v", err)
+	}
+	if _, err := rt.Get(nested); err != nil {
+		t.Fatalf("nested submitter: %v", err)
+	}
+	if n := nilArgs.Load(); n != 0 {
+		t.Fatalf("%d consumer bodies saw a nil future argument", n)
+	}
+	for i := range runs {
+		if n := runs[i].Load(); n != 1 {
+			t.Fatalf("consumer %d ran %d times, want exactly 1", i, n)
+		}
+	}
+	for i, f := range consumers {
+		v, err := rt.Get(f)
+		if err != nil || v.(int) != fanIn {
+			t.Fatalf("consumer %d = %v, %v; want %d", i, v, err, fanIn)
+		}
+	}
 }
 
 // Regression: Opts.Deadline abandonment must release exactly one worker

@@ -30,6 +30,17 @@ func newTestPeerStore(t *testing.T, cache *futureCache) (addr, token string, sto
 	return addr, token, store
 }
 
+// waitServed polls the store's served counter until it reaches want or 5 s
+// pass. The store counts a response after writing it, so the count may
+// settle just after the fetcher already holds the value.
+func waitServed(st *peerStore, want uint64) uint64 {
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if n := st.served.Load(); n >= want || time.Now().After(deadline) {
+			return n
+		}
+	}
+}
+
 // TestPeerFetchRoundTrip: a fetch returns the resident value bit-exactly,
 // hands the consumer a private clone, reuses one link per holder, and
 // attributes wire bytes on both sides.
@@ -59,7 +70,7 @@ func TestPeerFetchRoundTrip(t *testing.T) {
 	if resident, _ := cache.peek(ref(1)); resident.([]float64)[0] != 1.5 {
 		t.Fatal("fetched value aliases the holder's resident copy")
 	}
-	if n := store.served.Load(); n != 1 {
+	if n := waitServed(store, 1); n != 1 {
 		t.Fatalf("served = %d, want 1", n)
 	}
 
@@ -76,9 +87,17 @@ func TestPeerFetchRoundTrip(t *testing.T) {
 	}
 
 	// Both ends accounted the same wire bytes: what the fetcher sent the
-	// store received, and vice versa.
-	fs, fr := f.drainBytes()
-	ss, sr := store.drainBytes()
+	// store received, and vice versa. The store accounts a response after
+	// writing it, so its totals may settle just after the fetch returned.
+	var fs, fr, ss, sr int64
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		a, b := f.drainBytes()
+		c, d := store.drainBytes()
+		fs, fr, ss, sr = fs+a, fr+b, ss+c, sr+d
+		if fs == sr && fr == ss || time.Now().After(deadline) {
+			break
+		}
+	}
 	if fs == 0 || fr == 0 || fs != sr || fr != ss {
 		t.Fatalf("byte attribution: fetcher sent/recv %d/%d, store sent/recv %d/%d — want mirrored nonzero totals", fs, fr, ss, sr)
 	}
@@ -117,16 +136,18 @@ func TestPeerFetchSingleFlight(t *testing.T) {
 			results <- v.([]float64)
 		}()
 	}
-	// Resolve the shared call with one real wire transfer.
+	// Resolve the shared call with one real wire transfer. The key stays
+	// installed until every consumer has returned: a goroutine scheduled
+	// late still joins the resolved call instead of leading a second fetch.
 	c.val, c.err = f.fetchOne(addr, token, ref(1))
+	close(c.done)
+	wg.Wait()
 	f.mu.Lock()
 	delete(f.calls, k)
 	f.mu.Unlock()
-	close(c.done)
-	wg.Wait()
 	close(results)
 
-	if n := store.served.Load(); n != 1 {
+	if n := waitServed(store, 1); n != 1 {
 		t.Fatalf("served = %d, want 1 (single-flight must collapse duplicates)", n)
 	}
 	var all [][]float64

@@ -3,14 +3,16 @@
 // products, and a symmetric eigendecomposition (the replacement for
 // numpy.linalg.eigh used by the PCA covariance method in the paper).
 //
-// The hot kernels (Mul, MulAtB, MulABt, MulVec, the Jacobi rotations of
-// EigSym) are cache-blocked and row-band parallel on the bounded
-// internal/par pool, sharing the unrolled Dot/Axpy micro-kernels in
-// kernels.go. Kernel parallelism composes with the task-level parallelism
-// of internal/compss through par.SetLimit — see the par package comment for
-// the oversubscription contract. At par.SetLimit(1) every kernel runs
-// serially on its caller, mirroring how dislib runs serial NumPy kernels
-// inside PyCOMPSs tasks.
+// The product kernels (Mul, MulAtB, MulABt, MulVec) are cache-blocked and
+// row-band parallel on the bounded internal/par pool, sharing the unrolled
+// Dot/Axpy micro-kernels in kernels.go. Kernel parallelism composes with the
+// task-level parallelism of internal/compss through par.SetLimit — see the
+// par package comment for the oversubscription contract. At par.SetLimit(1)
+// every kernel runs serially on its caller, mirroring how dislib runs serial
+// NumPy kernels inside PyCOMPSs tasks. EigSym (Householder
+// tridiagonalisation, then implicit-shift QL) always runs serially: every
+// inner loop walks a row of the transposed accumulator, and the result is
+// bit-identical wherever the pca_eigh task runs.
 //
 // # Public surface
 //

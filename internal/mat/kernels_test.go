@@ -223,6 +223,22 @@ func BenchmarkEigSym(b *testing.B) {
 	}
 }
 
+// BenchmarkEigSym300 solves a covariance of the Table I training shape
+// (240 rows × 300 features): the pca_eigh task of the train benchmark.
+func BenchmarkEigSym300(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	x := randDense(rng, 240, 300)
+	SubRowVec(x, ColMeans(x))
+	a := Scale(1/239.0, MulAtB(x, x))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := EigSym(a); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkMulABt512x64(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	x := randDense(rng, 512, 64)

@@ -1,9 +1,11 @@
 package mat
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"taskml/internal/par"
 )
@@ -320,148 +322,226 @@ func Norm2(m *Dense) float64 {
 // budget before reaching the requested tolerance.
 var ErrNotConverged = errors.New("mat: iteration did not converge")
 
-// EigSym computes the eigendecomposition of the symmetric matrix a using the
-// cyclic Jacobi method. It returns eigenvalues in descending order and the
-// matching unit eigenvectors as the *columns* of the returned matrix, the
-// same convention as numpy.linalg.eigh after a descending sort (which is
-// what dislib's PCA does with the covariance matrix).
+// EigSym computes the eigendecomposition of the symmetric matrix a by
+// Householder tridiagonalisation followed by the implicit-shift QL
+// iteration (EISPACK tred2/tql2). It returns eigenvalues in descending
+// order and the matching unit eigenvectors as the *columns* of the returned
+// matrix, the same convention as numpy.linalg.eigh after a descending sort
+// (which is what dislib's PCA does with the covariance matrix). Each
+// eigenvector's sign is canonical: its largest-magnitude component is
+// positive, the lowest index winning a tie.
 //
 // a is not modified. Symmetry is assumed; only the upper triangle is
-// trusted. EigSym returns ErrNotConverged if off-diagonal mass remains after
-// the sweep budget, with the best available approximation still returned.
+// trusted. EigSym runs serially and is deterministic. It returns
+// ErrNotConverged if some eigenvalue exhausts its QL iteration budget, with
+// the best available approximation still returned.
 func EigSym(a *Dense) (vals []float64, vecs *Dense, err error) {
 	n := a.Rows
 	if n != a.Cols {
 		panic(fmt.Sprintf("mat: EigSym on non-square %dx%d", n, a.Cols))
 	}
+	if n == 0 {
+		return []float64{}, New(0, 0), nil
+	}
+	// Both phases work on the transpose Vᵀ of the textbook accumulator V:
+	// every inner loop of tred2 and tql2 then walks a row, and a Givens
+	// rotation of two eigenvector columns updates two contiguous rows. The
+	// copy of a seeds Vᵀ directly, since tred2 reads only V's lower
+	// triangle, which is Vᵀ's upper triangle: the trusted one of a.
 	w := a.Clone()
-	// Symmetrise from the upper triangle so tiny asymmetries from
-	// accumulated floating error cannot bias the rotations.
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			v := w.At(i, j)
-			w.Set(j, i, v)
-		}
-	}
-	v := Identity(n)
-
-	const maxSweeps = 64
-	tol := 1e-11 * offDiagNorm(w)
-	if tol == 0 {
-		tol = 1e-300
-	}
-	converged := false
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		if offDiagNorm(w) <= tol {
-			converged = true
-			break
-		}
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				apq := w.At(p, q)
-				if math.Abs(apq) < 1e-300 {
-					continue
-				}
-				app, aqq := w.At(p, p), w.At(q, q)
-				theta := (aqq - app) / (2 * apq)
-				var t float64
-				if theta >= 0 {
-					t = 1 / (theta + math.Sqrt(1+theta*theta))
-				} else {
-					t = -1 / (-theta + math.Sqrt(1+theta*theta))
-				}
-				c := 1 / math.Sqrt(1+t*t)
-				s := t * c
-				rotate(w, v, p, q, c, s)
-			}
-		}
-	}
-	if !converged && offDiagNorm(w) > tol {
+	d := make([]float64, n)
+	e := make([]float64, n)
+	tred2(w, d, e)
+	if !tql2(w, d, e) {
 		err = ErrNotConverged
 	}
 
-	vals = make([]float64, n)
-	for i := range vals {
-		vals[i] = w.At(i, i)
-	}
-	// Sort eigenpairs by descending eigenvalue.
-	order := argsortDesc(vals)
-	sortedVals := make([]float64, n)
-	sortedVecs := New(n, n)
-	for newCol, oldCol := range order {
-		sortedVals[newCol] = vals[oldCol]
-		for r := 0; r < n; r++ {
-			sortedVecs.Set(r, newCol, v.At(r, oldCol))
-		}
-	}
-	return sortedVals, sortedVecs, err
-}
-
-// rotateGrain is the minimum row-chunk per goroutine when a Jacobi rotation
-// is applied in parallel: a rotation is O(n) work, so only large matrices
-// (the wide-feature PCA covariances) clear it; small ones run serially.
-const rotateGrain = 384
-
-// rotate applies the Jacobi rotation J(p,q,c,s) as w ← JᵀwJ and accumulates
-// it into the eigenvector matrix v ← vJ. The column update (pass 1) must
-// fully precede the row update (pass 2) because the row pass reads the
-// rotated 2×2 pivot block; within a pass every k is independent, so each
-// pass is chunk-parallel across k. The eigenvector column update is
-// independent of w and rides in the second pass. The arithmetic per element
-// is identical to the serial form, so results are bit-for-bit equal
-// regardless of the chunking.
-func rotate(w, v *Dense, p, q int, c, s float64) {
-	n := w.Rows
-	par.For(n, rotateGrain, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			wkp, wkq := w.At(k, p), w.At(k, q)
-			w.Set(k, p, c*wkp-s*wkq)
-			w.Set(k, q, s*wkp+c*wkq)
-		}
-	})
-	par.For(n, rotateGrain, func(lo, hi int) {
-		prow, qrow := w.Row(p), w.Row(q)
-		for k := lo; k < hi; k++ {
-			wpk, wqk := prow[k], qrow[k]
-			prow[k] = c*wpk - s*wqk
-			qrow[k] = s*wpk + c*wqk
-		}
-		for k := lo; k < hi; k++ {
-			vkp, vkq := v.At(k, p), v.At(k, q)
-			v.Set(k, p, c*vkp-s*vkq)
-			v.Set(k, q, s*vkp+c*vkq)
-		}
-	})
-}
-
-func offDiagNorm(m *Dense) float64 {
-	var s float64
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			if i != j {
-				v := m.At(i, j)
-				s += v * v
-			}
-		}
-	}
-	return math.Sqrt(s)
-}
-
-func argsortDesc(vals []float64) []int {
-	order := make([]int, len(vals))
+	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	// Insertion sort: n is the feature count after reduction, small enough,
-	// and we avoid importing sort for a closure-based Slice here.
-	for i := 1; i < len(order); i++ {
-		j := i
-		for j > 0 && vals[order[j-1]] < vals[order[j]] {
-			order[j-1], order[j] = order[j], order[j-1]
-			j--
+	slices.SortStableFunc(order, func(i, j int) int { return cmp.Compare(d[j], d[i]) })
+	vals = make([]float64, n)
+	vecs = New(n, n)
+	for col, k := range order {
+		vals[col] = d[k]
+		v := w.Row(k)
+		big := 0
+		for r, x := range v {
+			if math.Abs(x) > math.Abs(v[big]) {
+				big = r
+			}
+		}
+		sign := math.Copysign(1, v[big])
+		for r, x := range v {
+			vecs.Data[r*n+col] = sign * x
 		}
 	}
-	return order
+	return vals, vecs, err
+}
+
+// tred2 reduces the symmetric matrix held in w (read from its upper
+// triangle) to tridiagonal form by Householder reflections, leaving the
+// diagonal in d, the subdiagonal in e[1:], and the transposed orthogonal
+// transform in w (row k is the k-th basis vector).
+func tred2(w *Dense, d, e []float64) {
+	n := w.Rows
+	for j := range d {
+		d[j] = w.At(j, n-1)
+	}
+	for i := n - 1; i > 0; i-- {
+		var scale, h float64
+		for _, x := range d[:i] {
+			scale += math.Abs(x)
+		}
+		if scale == 0 {
+			e[i] = d[i-1]
+			for j := 0; j < i; j++ {
+				d[j] = w.At(j, i-1)
+				w.Set(j, i, 0)
+				w.Set(i, j, 0)
+			}
+			d[i] = h
+			continue
+		}
+		// Householder vector u = d[:i] (scaled), stored as row i of w.
+		for k := range d[:i] {
+			d[k] /= scale
+			h += d[k] * d[k]
+		}
+		f := d[i-1]
+		g := math.Sqrt(h)
+		if f > 0 {
+			g = -g
+		}
+		e[i] = scale * g
+		h -= f * g
+		d[i-1] = f - g
+		clear(e[:i])
+		// p = A·u, from the upper triangle of the leading i×i block.
+		for j := 0; j < i; j++ {
+			f = d[j]
+			w.Set(i, j, f)
+			row := w.Row(j)[j+1 : i]
+			e[j] += w.At(j, j)*f + Dot(row, d[j+1:i])
+			Axpy(f, row, e[j+1:i])
+		}
+		f = 0
+		for j := 0; j < i; j++ {
+			e[j] /= h
+			f += e[j] * d[j]
+		}
+		hh := f / (h + h)
+		Axpy(-hh, d[:i], e[:i])
+		// Rank-2 update A ← A − u·qᵀ − q·uᵀ of the upper triangle.
+		for j := 0; j < i; j++ {
+			f, g = d[j], e[j]
+			row := w.Row(j)[j:i]
+			for k := range row {
+				row[k] -= f*e[j+k] + g*d[j+k]
+			}
+			d[j] = w.At(j, i-1)
+			w.Set(j, i, 0)
+		}
+		d[i] = h
+	}
+	// Accumulate the reflections, back to front, into the transform.
+	for i := 0; i < n-1; i++ {
+		w.Set(i, n-1, w.At(i, i))
+		w.Set(i, i, 1)
+		u := w.Row(i + 1)[:i+1]
+		if h := d[i+1]; h != 0 {
+			for k, x := range u {
+				d[k] = x / h
+			}
+			for j := 0; j <= i; j++ {
+				row := w.Row(j)[:i+1]
+				Axpy(-Dot(u, row), d[:i+1], row)
+			}
+		}
+		clear(u)
+	}
+	for j := range d {
+		d[j] = w.At(j, n-1)
+		w.Set(j, n-1, 0)
+	}
+	w.Set(n-1, n-1, 1)
+	e[0] = 0
+}
+
+// qlMaxIter is the implicit-QL iteration budget per eigenvalue (EISPACK's).
+const qlMaxIter = 30
+
+// tql2 diagonalises the symmetric tridiagonal matrix (diagonal d,
+// subdiagonal e[1:]) by the implicit-shift QL method, leaving the
+// eigenvalues, unsorted, in d and applying every rotation to the rows of
+// wt, the transposed eigenvector accumulator. It reports false if some
+// eigenvalue exhausted its iteration budget.
+func tql2(wt *Dense, d, e []float64) bool {
+	n := len(d)
+	copy(e, e[1:])
+	e[n-1] = 0
+	ok := true
+	var f, tst1 float64
+	const eps = 0x1p-52
+	for l := 0; l < n; l++ {
+		// Find the small subdiagonal element that splits off a block.
+		tst1 = math.Max(tst1, math.Abs(d[l])+math.Abs(e[l]))
+		m := l
+		for m < n-1 && math.Abs(e[m]) > eps*tst1 {
+			m++
+		}
+		for iter := 0; m > l && math.Abs(e[l]) > eps*tst1; iter++ {
+			if iter == qlMaxIter {
+				ok = false
+				break
+			}
+			// Shift from the leading 2×2 block.
+			g := d[l]
+			p := (d[l+1] - g) / (2 * e[l])
+			r := math.Hypot(p, 1)
+			if p < 0 {
+				r = -r
+			}
+			d[l] = e[l] / (p + r)
+			d[l+1] = e[l] * (p + r)
+			dl1 := d[l+1]
+			h := g - d[l]
+			for i := l + 2; i < n; i++ {
+				d[i] -= h
+			}
+			f += h
+			// Implicit QL sweep from m up to l.
+			p = d[m]
+			c, c2, c3 := 1.0, 1.0, 1.0
+			el1 := e[l+1]
+			var s, s2 float64
+			for i := m - 1; i >= l; i-- {
+				c3, c2, s2 = c2, c, s
+				g = c * e[i]
+				h = c * p
+				r = math.Hypot(p, e[i])
+				e[i+1] = s * r
+				s = e[i] / r
+				c = p / r
+				p = c*d[i] - s*g
+				d[i+1] = h + s*(c*g+s*d[i])
+				ri, ri1 := wt.Row(i), wt.Row(i+1)
+				ri1 = ri1[:len(ri)]
+				for k, x := range ri {
+					y := ri1[k]
+					ri1[k] = s*x + c*y
+					ri[k] = c*x - s*y
+				}
+			}
+			p = -s * s2 * c3 * el1 * e[l] / dl1
+			e[l] = s * p
+			d[l] = c * p
+		}
+		d[l] += f
+		e[l] = 0
+	}
+	return ok
 }
 
 // Identity returns the n×n identity matrix.

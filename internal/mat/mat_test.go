@@ -1,8 +1,10 @@
 package mat
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -341,6 +343,151 @@ func TestEigSymTraceInvariant(t *testing.T) {
 	}
 	if math.Abs(sum-trace) > 1e-8*math.Abs(trace) {
 		t.Fatalf("sum of eigenvalues %v != trace %v", sum, trace)
+	}
+}
+
+// randOrthogonal returns a random n×n orthogonal matrix (modified
+// Gram–Schmidt over the rows of a Gaussian matrix).
+func randOrthogonal(rng *rand.Rand, n int) *Dense {
+	q := randDense(rng, n, n)
+	for i := 0; i < n; i++ {
+		ri := q.Row(i)
+		for j := 0; j < i; j++ {
+			Axpy(-Dot(q.Row(j), ri), q.Row(j), ri)
+		}
+		s := 1 / math.Sqrt(Dot(ri, ri))
+		for k := range ri {
+			ri[k] *= s
+		}
+	}
+	return q
+}
+
+// withSpectrum returns QᵀΛQ for a random orthogonal Q: a symmetric matrix
+// with exactly the eigenvalues lambda.
+func withSpectrum(rng *rand.Rand, lambda []float64) *Dense {
+	q := randOrthogonal(rng, len(lambda))
+	return MulAtB(q, Mul(Diag(lambda), q))
+}
+
+// checkEigSym asserts the eigensolver contract on a: convergence, residual
+// ‖AV−VΛ‖/‖A‖ and orthogonality ‖VᵀV−I‖ both within tol, eigenvalues in
+// descending order, and canonical signs (every eigenvector's
+// largest-magnitude component, lowest index on a tie, is positive).
+func checkEigSym(t *testing.T, name string, a *Dense, tol float64) []float64 {
+	t.Helper()
+	n := a.Rows
+	vals, vecs, err := EigSym(a)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	norm := Norm2(a)
+	if norm == 0 {
+		norm = 1
+	}
+	res := Norm2(Sub(Mul(a, vecs), Mul(vecs, Diag(vals)))) / norm
+	orth := Norm2(Sub(MulAtB(vecs, vecs), Identity(n)))
+	t.Logf("%s (n=%d): residual %.2g, orthogonality %.2g", name, n, res, orth)
+	if res > tol || orth > tol {
+		t.Fatalf("%s (n=%d): residual %.3g, orthogonality %.3g, want both ≤ %g", name, n, res, orth, tol)
+	}
+	for i := 1; i < n; i++ {
+		if vals[i] > vals[i-1] {
+			t.Fatalf("%s: eigenvalues not descending at %d: %v > %v", name, i, vals[i], vals[i-1])
+		}
+	}
+	for c := 0; c < n; c++ {
+		big := 0
+		for r := 1; r < n; r++ {
+			if math.Abs(vecs.At(r, c)) > math.Abs(vecs.At(big, c)) {
+				big = r
+			}
+		}
+		if vecs.At(big, c) <= 0 {
+			t.Fatalf("%s: eigenvector %d has its largest component %v at row %d, want positive", name, c, vecs.At(big, c), big)
+		}
+	}
+	return vals
+}
+
+// TestEigSymSpectra: the residual and orthogonality hold to 1e-10 on the
+// spectra that stress a symmetric eigensolver — tight clusters, exact
+// repeats, rank deficiency — and on a covariance of the Table I training
+// shape (240 rows × 300 features, so rank ≤ 239), and the eigenvalues come
+// back as the known spectrum.
+func TestEigSymSpectra(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	const n = 60
+	clustered := make([]float64, n)
+	repeated := make([]float64, n)
+	deficient := make([]float64, n)
+	for i := range clustered {
+		clustered[i] = 1 + 1e-9*float64(i%20) + float64(i/20)
+		repeated[i] = float64(3 - i%3)
+		if i < n/4 {
+			deficient[i] = 1 + rng.Float64()
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		lambda []float64
+	}{
+		{"clustered", clustered},
+		{"repeated", repeated},
+		{"rank-deficient", deficient},
+		{"zero", make([]float64, 8)},
+	} {
+		vals := checkEigSym(t, c.name, withSpectrum(rng, c.lambda), 1e-10)
+		want := append([]float64(nil), c.lambda...)
+		slices.SortFunc(want, func(x, y float64) int { return cmp.Compare(y, x) })
+		for i := range want {
+			if math.Abs(vals[i]-want[i]) > 1e-12*float64(n) {
+				t.Fatalf("%s: eigenvalue %d = %v, want %v", c.name, i, vals[i], want[i])
+			}
+		}
+	}
+
+	x := randDense(rng, 240, 300)
+	SubRowVec(x, ColMeans(x))
+	cov := Scale(1/239.0, MulAtB(x, x))
+	vals := checkEigSym(t, "covariance 240x300", cov, 1e-10)
+	for i, v := range vals[239:] {
+		if math.Abs(v) > 1e-10*vals[0] {
+			t.Fatalf("covariance eigenvalue %d = %v, want 0 (rank ≤ 239)", 239+i, v)
+		}
+	}
+}
+
+// TestEigSymCanonicalSign: the eigenvector sign is fixed by the matrix, not
+// by the arithmetic path — the dominant eigenvector of v·vᵀ comes back with
+// its largest component positive whichever sign v had.
+func TestEigSymCanonicalSign(t *testing.T) {
+	v := []float64{0.1, -0.9, 0.3, 0.2}
+	for _, sign := range []float64{1, -1} {
+		u := NewFromData(1, len(v), append([]float64(nil), v...))
+		for i := range u.Data {
+			u.Data[i] *= sign
+		}
+		a := MulAtB(u, u)
+		_, vecs, err := EigSym(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		norm := math.Sqrt(Dot(v, v))
+		for r, x := range v {
+			if want := -x / norm; math.Abs(vecs.At(r, 0)-want) > 1e-12 {
+				t.Fatalf("sign %v: top eigenvector[%d] = %v, want %v", sign, r, vecs.At(r, 0), want)
+			}
+		}
+	}
+	// A diagonal matrix's eigenvectors come back as exact, positive unit
+	// vectors.
+	_, vecs, err := EigSym(NewFromRows([][]float64{{2, 0, 0}, {0, 1, 0}, {0, 0, 3}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !Equal(vecs, NewFromRows([][]float64{{0, 1, 0}, {0, 0, 1}, {1, 0, 0}}), 0) {
+		t.Fatalf("diagonal eigenvectors = %v, want signed unit columns", vecs)
 	}
 }
 

@@ -49,9 +49,11 @@ go test -race -count=2 ./internal/compss/... ./internal/cluster/... ./internal/t
 # drain, cross-worker steals, stolen-task deadline abandonment) only open
 # up under unbalanced load; run the stealing stress tests twice at both
 # GOMAXPROCS extremes so single-threaded interleavings and truly parallel ones
-# are both exercised under the race detector.
-echo "== go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestStolenDeadline' ./internal/compss/"
-go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestStolenDeadline' ./internal/compss/
+# are both exercised under the race detector. TestSubmitWiringRace rides
+# along: producers completing inside a consumer's dependency wiring must
+# never make it ready early (nil arguments) or twice.
+echo "== go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestStolenDeadline|TestSubmitWiringRace' ./internal/compss/"
+go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestStolenDeadline|TestSubmitWiringRace' ./internal/compss/
 
 # The data-plane cache is shared mutable state under the dispatch
 # concurrency (clone-on-hit vs concurrent puts, residency folding vs
@@ -81,8 +83,14 @@ echo "== go test -race -count=2 -run 'TestPeer' ./internal/exec/"
 go test -race -count=2 -run 'TestPeer' ./internal/exec/
 echo "== go test -race -count=2 -run 'TestRemotePeerKillParity' ./internal/core/"
 go test -race -count=2 -run 'TestRemotePeerKillParity' ./internal/core/
-echo "== go test -race -count=2 -run 'TestElasticCapacity' ./internal/compss/"
-go test -race -count=2 -run 'TestElasticCapacity' ./internal/compss/
+echo "== go test -race -count=2 -run 'TestElasticCapacity|TestDroppedRuntimeCancelsWatch' ./internal/compss/"
+go test -race -count=2 -run 'TestElasticCapacity|TestDroppedRuntimeCancelsWatch' ./internal/compss/
+
+# The eigensolver behind PCA's pca_eigh task: residual, orthogonality,
+# ordering and sign contract on stressed spectra and the training-shape
+# covariance, and determinism across kernel parallelism limits.
+echo "== go test -count=1 -run 'TestEigSym' ./internal/mat/"
+go test -count=1 -run 'TestEigSym' ./internal/mat/
 
 # The serving plane multiplexes concurrent stream pushes, per-batch scoring
 # goroutines, the background deadline flusher and hook callbacks over one
